@@ -166,6 +166,67 @@ let sim_vs_sta spec =
       (String.concat "," (List.map string_of_int cycles))
 
 (* ------------------------------------------------------------------ *)
+(* 2b. event-sim-diff: the flat event-simulation kernel against the    *)
+(* list-based simulator it replaced, at periods from deep violation    *)
+(* (glitches, inertial cancellation, setup misses) to comfortable.     *)
+
+type esd_case = { esd_spec : Netgen.spec; esd_aged : bool; esd_frac : float }
+
+let pp_esd_case c =
+  Printf.sprintf "{%s library=%s period=%.4f x STA}" (Netgen.pp_spec c.esd_spec)
+    (if c.esd_aged then "aged" else "fresh")
+    c.esd_frac
+
+let esd_case_gen =
+  let open Gen in
+  let+ esd_spec = Netgen.spec
+  and+ esd_aged = bool
+  and+ esd_frac = float_range 0.2 1.5 in
+  { esd_spec; esd_aged; esd_frac }
+
+(* Worst-case 10-year counterpart of [shared_fresh]. *)
+let shared_aged =
+  lazy
+    (Characterize.library ~backend:Characterize.Analytic ~axes:Axes.coarse
+       ~name:"check-aged"
+       ~scenario:(Scenario.scenario Scenario.worst_case)
+       ())
+
+let esd_cycles = 24
+
+let event_sim_diff c =
+  let netlist = Netgen.build c.esd_spec in
+  let library = Lazy.force (if c.esd_aged then shared_aged else shared_fresh) in
+  let sim = Event_sim.prepare ~library netlist in
+  let reference = Event_sim_ref.prepare ~library netlist in
+  let** () =
+    if Event_sim.min_period sim = Event_sim_ref.min_period reference then Ok ()
+    else
+      fail "STA min period %h vs reference %h" (Event_sim.min_period sim)
+        (Event_sim_ref.min_period reference)
+  in
+  let period = Float.max (Event_sim.min_period sim) 1e-10 *. c.esd_frac in
+  let stimulus = Netgen.stimulus c.esd_spec in
+  let got = Event_sim.run sim ~period ~cycles:esd_cycles ~stimulus in
+  let want = Event_sim_ref.run reference ~period ~cycles:esd_cycles ~stimulus in
+  let** () =
+    if got.Event_sim.timing_errors = want.Event_sim.timing_errors then Ok ()
+    else
+      fail "%d timing errors, reference %d, at period %.3e"
+        got.Event_sim.timing_errors want.Event_sim.timing_errors period
+  in
+  let diverging = ref [] in
+  Array.iteri
+    (fun i outs -> if outs <> want.Event_sim.outputs.(i) then diverging := i :: !diverging)
+    got.Event_sim.outputs;
+  match List.rev !diverging with
+  | [] -> Ok ()
+  | cycles ->
+    fail "outputs differ from the reference simulator at cycles %s (period %.3e)"
+      (String.concat "," (List.map string_of_int cycles))
+      period
+
+(* ------------------------------------------------------------------ *)
 (* 3. nldm-interp: bilinear interpolation exact at grid points,        *)
 (* bounded by the surrounding corners inside a cell.                   *)
 
@@ -964,6 +1025,11 @@ let all () =
       "event-driven simulation at the STA period: zero timing errors, \
        outputs match the functional reference"
       ~print:Netgen.pp_spec ~gen:Netgen.spec sim_vs_sta;
+    mk "event-sim-diff"
+      "the flat event-simulation kernel reproduces the list-based reference \
+       simulator (outputs and timing errors) at 0.2-1.5x the STA period, \
+       fresh and aged libraries"
+      ~print:pp_esd_case ~gen:esd_case_gen event_sim_diff;
     mk "nldm-interp"
       "bilinear NLDM interpolation: exact at grid points, corner-bounded \
        inside cells, tabulate(lookup) = id"

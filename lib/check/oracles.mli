@@ -5,8 +5,10 @@
     through {!Runner} with replayable per-case seeds.  The six core
     oracles mirror the paper's cross-layer consistency claim (spice vs.
     alpha-power, event simulation vs. STA, NLDM interpolation, Liberty
-    serialization, parallel determinism, guardband monotonicity), plus two
-    bonus oracles over the SDF writer/parser and the synthesis flow. *)
+    serialization, parallel determinism, guardband monotonicity), plus
+    oracles over the SDF writer/parser, the synthesis flow, the Jacobian
+    stamps, surrogate characterization and the flat event-simulation kernel
+    (against {!Event_sim_ref}). *)
 
 type t = {
   name : string;

@@ -8,18 +8,23 @@ type t = {
   deglib : Deglib.t;
   designs : (string * Aging_netlist.Netlist.t) list Lazy.t;
       (* netlist builders are cheap but not free; built once, on first use *)
+  designs_lock : Mutex.t;
+      (* Serializes the first force of [designs]: worker domains handle
+         requests concurrently, and a lazy forced by two domains at once
+         raises [CamlinternalLazy.Undefined] in one of them. *)
 }
 
 let create ?backend ?cells ?axes ?years ?cache_dir ?jobs ?memo_cap () =
   let deglib =
     Deglib.create ?backend ?cells ?axes ?years ?cache_dir ?jobs ?memo_cap ()
   in
-  { deglib; designs = lazy (Designs.all ()) }
+  { deglib; designs = lazy (Designs.all ()); designs_lock = Mutex.create () }
 
 let deglib t = t.deglib
 
-let find_design t name =
-  List.assoc_opt name (Lazy.force t.designs)
+let designs t = Mutex.protect t.designs_lock (fun () -> Lazy.force t.designs)
+
+let find_design t name = List.assoc_opt name (designs t)
 
 let guardband_json (e : Guardband.estimate) =
   Json.Obj
@@ -71,7 +76,7 @@ let handle t (req : Protocol.request) =
       Error
         ( Protocol.Bad_request,
           Printf.sprintf "unknown design %S (designs: %s)" design
-            (String.concat ", " (List.map fst (Lazy.force t.designs))) )
+            (String.concat ", " (List.map fst (designs t))) )
     | Some netlist ->
       let estimate = Guardband.static ~deglib:t.deglib ~corner netlist in
       Ok

@@ -16,6 +16,7 @@ module Metrics_http = Aging_serve.Metrics_http
 module Client = Aging_serve.Client
 module Soak = Aging_serve.Soak
 module Dash = Aging_serve.Dash
+module Queries = Aging_serve.Queries
 module Scenario = Aging_physics.Scenario
 module Rng = Aging_util.Rng
 module Retry = Aging_util.Retry
@@ -798,6 +799,38 @@ let test_soak_degrades_gracefully () =
         (report.Soak.ok > 0);
       Alcotest.(check bool) "still accepting work" true (Server.running srv))
 
+(* ----------------------------- queries ----------------------------- *)
+
+(* Two worker domains whose first requests overlap both force the lazily
+   built design catalog; each must get its proper reply rather than a
+   [CamlinternalLazy.Undefined] (re-raised by [Domain.join]).  Repeated
+   with a fresh handler so the two first uses overlap more than once. *)
+let test_queries_concurrent_first_use () =
+  for _ = 1 to 4 do
+    let q =
+      Queries.create ~backend:Aging_liberty.Characterize.Analytic
+        ~axes:Aging_liberty.Axes.coarse ()
+    in
+    let ready = Atomic.make 0 in
+    let query () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      Queries.handle q
+        (Protocol.Guardband { design = "NO-SUCH"; corner = Scenario.worst_case })
+    in
+    let a = Domain.spawn query and b = Domain.spawn query in
+    List.iter
+      (function
+        | Error (code, msg) ->
+          Alcotest.check code_t "unknown design" Protocol.Bad_request code;
+          Alcotest.(check bool) "reply lists the catalog" true
+            (contains msg "DCT")
+        | Ok _ -> Alcotest.fail "unknown design answered")
+      [ Domain.join a; Domain.join b ]
+  done
+
 let suite =
   [
     ("frame: roundtrip", `Quick, test_frame_roundtrip);
@@ -834,6 +867,7 @@ let suite =
      test_server_watchdog_flags_stall);
     ("server: live /metrics scrape parses", `Quick,
      test_server_metrics_scrape);
+    ("queries: concurrent first use", `Quick, test_queries_concurrent_first_use);
     ("dash: parses a captured stats snapshot", `Quick, test_dash_snapshot);
     ("dash: parses live stats", `Quick, test_dash_of_live_stats);
     ("soak: degrades gracefully under chaos", `Quick,
